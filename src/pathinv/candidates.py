@@ -124,14 +124,13 @@ class GeneratorBudget:
     max_clauses_per_round: int = 8
     max_combination_size: int = 3
     max_rounds: int = 4
-    per_candidate_timeout: int = 10_000   # ms
     total_timeout: int = 120_000          # ms
     # deterministic cutoff so exhaustion does not depend on wall time
     max_candidates: int = 500
 
     def __post_init__(self):
         for name in ("max_clauses_per_round", "max_combination_size",
-                     "per_candidate_timeout", "total_timeout", "max_candidates"):
+                     "total_timeout", "max_candidates"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_rounds < 0:

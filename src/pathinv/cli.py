@@ -8,7 +8,6 @@ wall-time fields so reports are byte-reproducible.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import random
 import sys
@@ -256,13 +255,12 @@ def paths(file, as_dot, as_json):
 @output_options
 @click.option("--compare", default=None, metavar="MODES",
               help="Comma-separated modes to run side by side.")
-@click.option("--jobs", default=1, show_default=True, help="Concurrent programs.")
 @click.option("--output", default="bench.json", show_default=True,
               type=click.Path(), help="Where to write the JSON results.")
 @click.option("--seed", default=0, show_default=True)
 def bench(directory, solver_path, timeout_ms, gen_mode, llm_endpoint, llm_model,
           mock, budget_rounds, no_ce_filter, as_json, stable_json, compare,
-          jobs, output, seed):
+          output, seed):
     """Run inference over every .mc file in a directory and tabulate."""
     random.seed(seed)
     modes = [m.strip() for m in compare.split(",")] if compare else [gen_mode]
@@ -274,7 +272,7 @@ def bench(directory, solver_path, timeout_ms, gen_mode, llm_endpoint, llm_model,
     budget = GeneratorBudget(max_rounds=budget_rounds)
 
     def run_one(path: Path, mode: str) -> dict:
-        solver = _make_solver(solver_path, timeout_ms)  # one per task
+        solver = _make_solver(solver_path, timeout_ms)  # one per program and mode
         try:
             p = parse_program(path.read_text())
             _, report = run_pipeline(p, path.read_text(), mode, budget,
@@ -286,16 +284,7 @@ def bench(directory, solver_path, timeout_ms, gen_mode, llm_endpoint, llm_model,
                     "error": f"{type(exc).__name__}: {exc}",
                     "totals": {"status": "error", "smt_queries": 0, "time_ms": 0}}
 
-    tasks = [(f, m) for f in files for m in modes]
-    results: dict[tuple, dict] = {}
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_one, f, m): (f, m) for f, m in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for f, m in tasks:
-            results[(f, m)] = run_one(f, m)
+    results = {(f, m): run_one(f, m) for f in files for m in modes}
 
     entries = [results[(f, m)] for f in files for m in modes]
     per_mode = {}

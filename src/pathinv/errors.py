@@ -69,13 +69,3 @@ class LlmTransportError(PathinvError):
 
 class LlmFormatError(PathinvError):
     pass
-
-
-class SummarizationFailed(PathinvError):
-    def __init__(self, region):
-        super().__init__(f"could not summarize region {region}")
-        self.region = region
-
-
-class ConfigError(PathinvError):
-    pass

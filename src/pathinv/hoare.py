@@ -245,22 +245,6 @@ def _find_loop_context(body, loop_id):
     raise LookupError(loop_id)
 
 
-def _straighten(stmts, summaries) -> list[Stmt]:
-    """Straight-line over-approximation of a statement list: loops become
-    havoc+assume summaries; branches become havoc of what they may write."""
-    out: list[Stmt] = []
-    for s in stmts:
-        if isinstance(s, While):
-            out += _loop_replacement(s, summaries, at_exit=True)
-        elif isinstance(s, If):
-            # used only in suffix position; the reaching sequence keeps
-            # branches exact via path expansion instead
-            out += [Havoc(v) for v in sorted(modified_vars([s]))]
-        else:
-            out.append(s)
-    return out
-
-
 def _reach_predicate(annot_pre: Predicate, reach, summaries) -> Predicate:
     """Exact state at the loop head: disjunction over the branch-resolved
     paths of the reaching sequence, each summarized by sp."""

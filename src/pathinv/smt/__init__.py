@@ -13,7 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ModelParseError, SolverFailure
 from ..logic import SmtScript
@@ -172,7 +172,6 @@ class Solver:
     """A configured solver plus a query counter for reporting."""
     config: SolverConfig
     query_count: int = 0
-    _log: list = field(default_factory=list, repr=False)
 
     def check(self, script: SmtScript) -> SolverResult:
         self.query_count += 1

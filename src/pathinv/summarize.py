@@ -1,104 +1,79 @@
-"""Hierarchical path summarization and the whole-program invariant pass.
+"""Loop-by-loop summarization and the whole-program invariant pass.
 
-Regions are processed innermost-first: each loop is replaced by a verified
-invariant, each branch by the disjunction of its arms' exact postconditions,
-and plain segments by their strongest postcondition. The accumulated
-precondition travels through the traversal as generation context. A final
-pass re-checks every loop summary against the full program (with real exit
-obligations) and refines the ones that are too weak.
+Loops are summarized in loop-tree post-order, in source order: an inner
+loop before the loop around it, and an earlier loop before a later one,
+so every loop a problem reaches is already replaced by havoc plus its
+invariant. Branches need no summary of their own: `hoare.build_problem`
+resolves them by body-path expansion. A final pass re-checks every loop
+summary against the full program (with real exit obligations) and
+refines the ones that are too weak.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace as d_replace
+from dataclasses import dataclass, field
 
-from .cfg import build_cfg
-from .errors import SummarizationFailed
-from .frontend.ast_nodes import Program, While, walk_stmts
-from .frontend.printer import expr_to_str, pretty_print
-from .hoare import (
-    HoareProblem,
-    Verdict,
-    build_problem,
-    check_invariant,
-)
+from .frontend.ast_nodes import If, Program, While, walk_stmts
+from .frontend.printer import pretty_print
+from .hoare import HoareProblem, build_problem, check_invariant
 from .candidates import (
     GeneratorBudget,
-    InferResult,
     LlmConfig,
     PromptContext,
     infer_invariant,
     sample_head_states,
 )
-from .logic import (
-    FreshNames,
-    P_TRUE,
-    Predicate,
-    pred,
-    pred_and,
-    pred_not,
-    pred_or,
-    implies,
-    strongest_post_traced,
-)
-from .paths import BranchArm, Loop, PathSegment, PathSet, TopLevel, find_all_paths
+from .logic import P_TRUE, Predicate, implies
 from .smt import Solver, discover_solver
 
-
-@dataclass
-class Context:
-    """Mutable traversal state for one program's summarization."""
-    program: Program
-    program_text: str
-    pre_cond: Predicate = P_TRUE
-    loop_stack: list = field(default_factory=list)
-    branch_stack: list = field(default_factory=list)
-    summaries: dict = field(default_factory=dict)   # region -> Summary
-    gaps: list = field(default_factory=list)        # regions left at `true`
-
-    def loop_summaries(self) -> dict[int, Predicate]:
-        return {r.loop_id: s.predicate for r, s in self.summaries.items()
-                if isinstance(r, Loop)}
+# Unused here, but perfbench/tracing.py rebinds them on this module and fails without them.
+from .cfg import build_cfg  # noqa: F401
+from .logic import strongest_post_traced  # noqa: F401
+from .paths import find_all_paths  # noqa: F401
 
 
 @dataclass(frozen=True)
 class Summary:
-    region: object
     predicate: Predicate
-    verdict: Verdict | None    # Valid for loops; None for sp-derived regions
-    origin: str                # combinor | llm | sp
+    origin: str   # combinor | llm; the generation mode for a loop left at true
+
+
+@dataclass
+class Context:
+    """One program's loop summaries and loop-head samples."""
+    program: Program
+    program_text: str
+    summaries: dict = field(default_factory=dict)   # loop id -> Summary, in summarization order
+    samples: dict = field(default_factory=dict)     # loop id -> head states
+
+    def loop_summaries(self) -> dict[int, Predicate]:
+        return {lid: s.predicate for lid, s in self.summaries.items()}
+
+    def head_samples(self, loop_id: int) -> tuple:
+        if loop_id not in self.samples:
+            self.samples[loop_id] = sample_head_states(self.program, loop_id)
+        return self.samples[loop_id]
 
 
 def make_context(p: Program, program_text: str | None = None) -> Context:
-    pre = pred(p.precondition) if p.precondition is not None else P_TRUE
-    return Context(p, program_text if program_text is not None else pretty_print(p),
-                   pre_cond=pre)
+    return Context(p, program_text if program_text is not None else pretty_print(p))
 
 
-def compute_invariant(segment: PathSegment, pre: Predicate) -> Predicate:
-    """Exact summary of a straight-line segment under its assumptions."""
-    base = pred_and(pre, *(pred(a) for a in segment.assumed))
-    return strongest_post_traced(base, segment.stmts, FreshNames()).predicate
-
-
-def _skolem_free(p: Predicate, conjuncts) -> Predicate:
-    kept = [c for c in conjuncts
-            if all("$" not in v for v in pred(c).free_vars)]
-    return pred_and(*(pred(c) for c in kept)) if kept else P_TRUE
-
-
-def _segment_summary(segment: PathSegment, pre: Predicate) -> Predicate:
-    """Skolem-free part of the segment's sp, suitable for accumulation."""
-    base = pred_and(pre, *(pred(a) for a in segment.assumed))
-    res = strongest_post_traced(base, segment.stmts, FreshNames())
-    return _skolem_free(res.predicate, res.conjuncts)
+def loop_order(stmts) -> list[int]:
+    """Loop ids in loop-tree post-order, in source order."""
+    out: list[int] = []
+    for s in stmts:
+        if isinstance(s, While):
+            out += loop_order(s.body) + [s.loop_id]
+        elif isinstance(s, If):
+            out += loop_order(s.then) + loop_order(s.orelse)
+    return out
 
 
 def _prompt_ctx(hp: HoareProblem, ctx: Context, template: str) -> PromptContext:
     summaries = "\n".join(
-        f"- loop {r.loop_id}: {s.predicate}" for r, s in ctx.summaries.items()
-        if isinstance(r, Loop)) or "(none)"
+        f"- loop {lid}: {s.predicate}" for lid, s in ctx.summaries.items()) or "(none)"
     post = " && ".join(str(ob.formula) for ob in hp.obligations)
     return PromptContext(
         program=ctx.program_text,
@@ -110,69 +85,28 @@ def _prompt_ctx(hp: HoareProblem, ctx: Context, template: str) -> PromptContext:
     )
 
 
-def hierarch_summarize(ps: PathSet, ctx: Context, gen_mode: str = "combinor",
+def hierarch_summarize(ctx: Context, gen_mode: str = "combinor",
                        budget: GeneratorBudget | None = None,
                        solver: Solver | None = None,
                        llm: LlmConfig | None = None,
-                       strict: bool = False,
                        use_ce_filter: bool = True) -> Context:
-    """Inner-first traversal of the ordered PathSet.
+    """Infer a summary for each loop, inner loops first.
 
-    Loops get inferred invariants (without exit obligations at this stage:
-    those are settled by final_check once every loop has a summary);
-    branch arms and plain segments get exact sp summaries.
+    Summarization problems carry no exit obligations: those are settled by
+    final_check once every loop has a summary. A loop whose search is
+    exhausted is summarized as `true`.
     """
     budget = budget or GeneratorBudget()
     solver = solver or Solver(discover_solver())
-    arm_cache: dict = {}
-
-    for segment in ps.segments:
-        region = segment.region
-        if isinstance(region, Loop):
-            ctx.loop_stack.append(region.loop_id)
-            try:
-                hp = build_problem(ctx.program, region.loop_id,
-                                   ctx.loop_summaries(), with_obligations=False)
-                hp = d_replace(hp, head_samples=sample_head_states(
-                    ctx.program, region.loop_id))
-                res = infer_invariant(
-                    hp, gen_mode, budget, solver, llm,
-                    _prompt_ctx(hp, ctx, "invariant") if gen_mode != "combinor" else None,
-                    use_ce_filter=use_ce_filter)
-                if res.found:
-                    inv = res.candidate.formula
-                    ctx.summaries[region] = Summary(region, inv, res.verdict,
-                                                    res.candidate.origin)
-                    ctx.pre_cond = pred_and(ctx.pre_cond, inv,
-                                            pred_not(hp.guard))
-                else:
-                    if strict:
-                        raise SummarizationFailed(region)
-                    ctx.summaries[region] = Summary(region, P_TRUE, None, gen_mode)
-                    ctx.gaps.append(region)
-            finally:
-                ctx.loop_stack.pop()
-        elif isinstance(region, BranchArm):
-            ctx.branch_stack.append(region.branch_id)
-            try:
-                arm_inv = _segment_summary(segment, ctx.pre_cond)
-                ctx.summaries[region] = Summary(region, arm_inv, None, "sp")
-                other = arm_cache.pop((region.branch_id, not region.polarity), None)
-                if other is None:
-                    arm_cache[(region.branch_id, region.polarity)] = arm_inv
-                else:
-                    true_inv, false_inv = (arm_inv, other) if region.polarity \
-                        else (other, arm_inv)
-                    ctx.pre_cond = pred_and(ctx.pre_cond,
-                                            pred_or(true_inv, false_inv))
-            finally:
-                ctx.branch_stack.pop()
-        else:  # TopLevel backbone
-            ctx.pre_cond = pred_and(
-                ctx.pre_cond,
-                _segment_summary(d_replace(segment, assumed=()), P_TRUE))
-
-    assert not ctx.loop_stack and not ctx.branch_stack
+    for lid in loop_order(ctx.program.body):
+        hp = build_problem(ctx.program, lid, ctx.loop_summaries(),
+                           head_samples=ctx.head_samples(lid), with_obligations=False)
+        res = infer_invariant(
+            hp, gen_mode, budget, solver, llm,
+            _prompt_ctx(hp, ctx, "invariant") if gen_mode != "combinor" else None,
+            use_ce_filter=use_ce_filter)
+        ctx.summaries[lid] = (Summary(res.candidate.formula, res.candidate.origin)
+                              if res.found else Summary(P_TRUE, gen_mode))
     return ctx
 
 
@@ -279,11 +213,9 @@ def final_check(p: Program, ctx: Context, gen_mode: str = "combinor",
         t0 = time.monotonic()
         q0 = solver.query_count
         inv = summaries.get(lid, P_TRUE)
-        origin = next((s.origin for r, s in ctx.summaries.items()
-                       if isinstance(r, Loop) and r.loop_id == lid), gen_mode)
+        origin = ctx.summaries[lid].origin if lid in ctx.summaries else gen_mode
         lr = LoopReport(lid, str(inv), "valid", origin=origin)
-        hp = build_problem(p, lid, summaries)
-        hp = d_replace(hp, head_samples=sample_head_states(p, lid))
+        hp = build_problem(p, lid, summaries, head_samples=ctx.head_samples(lid))
         v = check_invariant(hp, inv, solver)
         if not v.is_valid:
             if v.counterexample is not None:
@@ -319,13 +251,12 @@ def run_pipeline(p: Program, program_text: str | None = None,
                  llm: LlmConfig | None = None,
                  program_name: str = "program",
                  use_ce_filter: bool = True) -> tuple[Context, Report]:
-    """Full path: CFG, path enumeration, summarization, final check."""
+    """Full path: loop summarization, then the final check."""
     solver = solver or Solver(discover_solver())
     q0 = solver.query_count
     t0 = time.monotonic()
-    ps = find_all_paths(build_cfg(p))
     ctx = make_context(p, program_text)
-    hierarch_summarize(ps, ctx, gen_mode, budget, solver, llm,
+    hierarch_summarize(ctx, gen_mode, budget, solver, llm,
                        use_ce_filter=use_ce_filter)
     report = final_check(p, ctx, gen_mode, budget, solver, llm, program_name,
                          use_ce_filter=use_ce_filter)

@@ -171,16 +171,3 @@ def test_bench_writes_report_and_isolates_errors(runner, tmp_path):
     assert by_name["count_up"]["totals"]["status"] == "valid"
     agg = data["aggregate"]["combinor"]
     assert agg["solved"] == 2 and agg["total"] == 3
-
-
-def test_bench_parallel_matches_serial(runner, tmp_path):
-    work = tmp_path / "suite"
-    work.mkdir()
-    for name in ("count_up.mc", "count_down.mc"):
-        (work / name).write_text((CORPUS / name).read_text())
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    r1 = invoke(runner, "bench", work, "--output", out1, "--stable-json")
-    r2 = invoke(runner, "bench", work, "--output", out2,
-                "--stable-json", "--jobs", 2)
-    assert r1.exit_code == r2.exit_code == EXIT_OK
-    assert out1.read_text() == out2.read_text()

@@ -3,20 +3,15 @@
 import json
 
 import jsonschema
-import pytest
 
 from pathinv.candidates import GeneratorBudget, LlmConfig
-from pathinv.cfg import build_cfg
-from pathinv.errors import SummarizationFailed
 from pathinv.frontend.parser import parse_expr_text, parse_program
+from pathinv.hoare import build_problem, check_invariant
 from pathinv.logic import P_TRUE, implies, pred
-from pathinv.paths import BranchArm, Loop, find_all_paths
 from pathinv.summarize import (
-    Summary,
-    compute_invariant,
-    _segment_summary,
     final_check,
     hierarch_summarize,
+    loop_order,
     make_context,
     run_pipeline,
 )
@@ -28,31 +23,58 @@ def P(text):
     return pred(parse_expr_text(text))
 
 
-def paths_and_ctx(p, text=None):
-    return find_all_paths(build_cfg(p)), make_context(p, text)
-
-
 def summarize(p, solver, **kw):
-    ps, ctx = paths_and_ctx(p)
-    return hierarch_summarize(ps, ctx, solver=solver, **kw)
+    return hierarch_summarize(make_context(p), solver=solver, **kw)
 
 
-# --- segment summaries ----------------------------------------------------------
+# a top-level loop followed by a nest whose inner loop reads its result
+TOP_THEN_NEST = """\
+//@ pre: n >= 0
+//@ post: i == n
+int x, n, i, j;
+x = 0;
+while (x < n) { x = x + 1; }
+i = 0;
+while (i < n) {
+  j = 0;
+  while (j < x) { j = j + 1; }
+  i = i + 1;
+}
+"""
 
 
-def test_compute_invariant_exact_sp():
-    p = parse_program("int x; x = x + 1;")
-    ps, _ = paths_and_ctx(p)
-    inv = compute_invariant(ps.segments[0], P("x == 0"))
-    assert str(inv) == "x$0 == 0 && x == x$0 + 1"
+# --- loop order --------------------------------------------------------------------
 
 
-def test_segment_summary_keeps_only_skolem_free_conjuncts():
-    p = parse_program("int x, n; assume(n >= 3); x = x + 1;")
-    ps, _ = paths_and_ctx(p)
-    inv = _segment_summary(ps.segments[0], P_TRUE)
-    # x == x$0 + 1 mentions a skolem and is dropped; n >= 3 survives
-    assert str(inv) == "n >= 3"
+def test_loop_order_is_loop_tree_post_order():
+    p = parse_program("""\
+int a, b, c, d;
+while (a < 1) { a = a + 1; }
+if (b > 0) {
+  while (b < 5) { b = b + 1; }
+} else {
+  while (c < 5) {
+    while (d < 5) { d = d + 1; }
+    c = c + 1;
+  }
+}
+while (a < 9) {
+  while (b < 9) { b = b + 1; }
+  a = a + 1;
+}
+""")
+    # ids are pre-order: 0 top, 1 then-arm, 2/3 else-arm nest, 4/5 last nest
+    assert loop_order(p.body) == [0, 1, 3, 2, 5, 4]
+
+
+def test_summarize_top_level_loop_before_nest(solver):
+    # the nest's inner loop is deeper, but the top-level loop comes first
+    # in its reaching sequence and so must be summarized first
+    p = parse_program(TOP_THEN_NEST)
+    ctx, report = run_pipeline(p, TOP_THEN_NEST, solver=solver)
+    assert list(ctx.summaries) == [0, 2, 1]
+    assert report.status == "valid"
+    assert [lr.status for lr in report.loops] == ["valid"] * 3
 
 
 # --- traversal -------------------------------------------------------------------
@@ -63,43 +85,54 @@ def test_summarize_single_loop(solver):
     ctx = summarize(p, solver)
     inv = ctx.loop_summaries()[0]
     assert solver.check(implies(inv, P("x <= n")).script).is_unsat
-    # after the loop: invariant and negated guard travel in pre_cond
-    assert solver.check(implies(ctx.pre_cond, P("x >= n")).script).is_unsat
-    assert ctx.gaps == []
-    summary = ctx.summaries[Loop(0)]
-    assert summary.verdict.is_valid and summary.origin == "combinor"
+    # with the negated guard it settles the exit obligation x == n
+    assert check_invariant(build_problem(p, 0, ctx.loop_summaries()), inv, solver).is_valid
+    assert list(ctx.summaries) == [0]
+    assert ctx.summaries[0].origin == "combinor"
 
 
 def test_summarize_nested_loops_inner_first(solver):
     p, _ = load(CORPUS / "nested_loop.mc")
     ctx = summarize(p, solver)
-    assert set(ctx.loop_summaries()) == {0, 1}
+    assert list(ctx.summaries) == [1, 0]
     inner = ctx.loop_summaries()[1]
     assert solver.check(implies(inner, P("j <= n")).script).is_unsat
 
 
-def test_summarize_branch_arms_disjoined(solver):
-    p, _ = load(CORPUS / "branch_before_loop.mc")
-    ctx = summarize(p, solver)
-    arms = [r for r in ctx.summaries if isinstance(r, BranchArm)]
-    assert len(arms) == 2
-    assert all(ctx.summaries[r].origin == "sp" for r in arms)
-    # both arms set s; their disjunction reaches the accumulated context
-    assert solver.check(implies(ctx.pre_cond, P("s >= 0 && s <= 1")).script).is_unsat
+def test_summarize_branch_before_loop(solver):
+    # the branch is resolved by path expansion in the loop's reaching
+    # sequence; it needs no summary of its own
+    p, text = load(CORPUS / "branch_before_loop.mc")
+    ctx, report = run_pipeline(p, text, solver=solver)
+    assert list(ctx.summaries) == [0]
+    assert ctx.summaries[0].predicate != P_TRUE
+    assert report.status == "valid"
+    (lr,) = report.loops
+    assert lr.status == "valid" and lr.rounds == 0
 
 
 def test_summarize_exhausted_records_gap(solver):
     # max_rounds=0 disables generation, forcing the exhausted path
     p, _ = load(CORPUS / "count_up.mc")
     ctx = summarize(p, solver, budget=GeneratorBudget(max_rounds=0))
-    assert ctx.gaps == [Loop(0)]
     assert ctx.loop_summaries()[0] == P_TRUE
 
 
-def test_summarize_strict_raises(solver):
-    p, _ = load(CORPUS / "count_up.mc")
-    with pytest.raises(SummarizationFailed):
-        summarize(p, solver, budget=GeneratorBudget(max_rounds=0), strict=True)
+def test_head_samples_taken_once_per_loop(solver, monkeypatch):
+    import pathinv.summarize as summarize_mod
+
+    calls = []
+    real = summarize_mod.sample_head_states
+
+    def counting(p, lid):
+        calls.append(lid)
+        return real(p, lid)
+
+    monkeypatch.setattr(summarize_mod, "sample_head_states", counting)
+    p, text = load(CORPUS / "nested_loop.mc")
+    _, report = run_pipeline(p, text, solver=solver)
+    assert report.status == "valid"
+    assert sorted(calls) == [0, 1]
 
 
 # --- final check -------------------------------------------------------------------
