@@ -2,23 +2,30 @@
 
 The deterministic pipeline keeps atomic clauses (connective-free linear
 comparisons) in an ordered, deduplicated ExprStore and enumerates boolean
-combinations of them in size-lexicographic order. Counterexamples from
-failed checks accumulate in a CeSet and prune later candidates by plain
-integer evaluation, never by extra solver calls. An LLM backend can
-contribute clauses through the same store; a `mock:` provider replays
-committed transcripts so tests stay hermetic.
+combinations of them in size-lexicographic order. Each clause is
+evaluated once per loop-head sample and once per counterexample state,
+giving integer truth bitmasks; a combination is screened by AND/OR of
+those masks, and a formula is built only for the combinations that pass.
+Counterexamples from failed checks accumulate in a CeSet, which extends
+its per-clause masks as they arrive, so pruning never costs a solver
+call. An LLM backend can contribute clauses through the same store; a
+`mock:` provider replays committed transcripts so tests stay hermetic.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import itertools
 import json
 import logging
+import operator
 import os
 import re
 import time
 from dataclasses import dataclass, field, replace
+from math import comb
 
 from .errors import LlmFormatError, LlmTransportError, ParseError
 from .frontend.ast_nodes import Binary, Expr, IntLit, expr_vars, int_constants
@@ -92,17 +99,59 @@ class ExprStore:
 
 @dataclass
 class CeSet:
-    """Counterexamples accumulated during inference; unique by (kind, state)."""
+    """Counterexamples accumulated during inference; unique by (kind, state).
+
+    Entry t owns bit t of every mask: per kind, and per clause for the
+    entries whose state (and, for `preserve`, post state) satisfies it.
+    A clause's masks are extended to new entries when next asked for.
+    """
     entries: list[Counterexample] = field(default_factory=list)
     _seen: set = field(default_factory=set, repr=False)
+    _kind_bits: dict = field(default_factory=lambda: dict.fromkeys(
+        ("init", "preserve", "term"), 0), repr=False, compare=False)
+    _clause_bits: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, ce: Counterexample) -> bool:
         ident = ce.identity()
         if ident in self._seen:
             return False
         self._seen.add(ident)
+        if ce.kind in self._kind_bits:
+            self._kind_bits[ce.kind] |= 1 << len(self.entries)
         self.entries.append(ce)
         return True
+
+    def _truth(self, c: Clause) -> tuple[int, int]:
+        """Masks of the entries whose state, and whose post state, satisfy c."""
+        done, pre, post = self._clause_bits.get(c.expr, (0, 0, 0))
+        if done < len(self.entries):
+            for t in range(done, len(self.entries)):
+                ce = self.entries[t]
+                if eval_pred(c.expr, ce.state):
+                    pre |= 1 << t
+                if ce.kind == "preserve" and eval_pred(c.expr, ce.post_state):
+                    post |= 1 << t
+            self._clause_bits[c.expr] = (len(self.entries), pre, post)
+        return pre, post
+
+    def admits(self, groups) -> bool:
+        """`filter_by_ces` for the DNF `groups`: OR across groups of the
+        AND of each group's clauses."""
+        if not self.entries:
+            return True
+        every = (1 << len(self.entries)) - 1
+        pre = post = 0
+        for group in groups:
+            gpre = gpost = every
+            for c in group:
+                cpre, cpost = self._truth(c)
+                gpre &= cpre
+                gpost &= cpost
+            pre |= gpre
+            post |= gpost
+        kinds = self._kind_bits
+        return not (kinds["init"] & ~pre or kinds["preserve"] & pre & ~post
+                    or kinds["term"] & pre)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -117,6 +166,8 @@ class Candidate:
     clauses_used: tuple[Clause, ...]
     generation: int = 0
     origin: str = "combinor"  # combinor | llm
+    # DNF of `formula` as clause groups (OR of ANDs); None if not known
+    groups: tuple[tuple[Clause, ...], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -196,8 +247,11 @@ def filter_by_ces(cand: Candidate, ces: CeSet) -> bool:
     Drop when the candidate would provably repeat a recorded failure:
     false at an init state (which satisfies P), held-then-broken around a
     preservation step, or true at an exit state whose suffix run violated
-    an obligation.
+    an obligation. A candidate with clause groups is decided on the
+    CeSet's clause masks; one without is evaluated on its formula.
     """
+    if cand.groups is not None:
+        return ces.admits(cand.groups)
     e = cand.formula.expr
     for ce in ces:
         if ce.kind == "init":
@@ -216,89 +270,122 @@ def _passes_head_samples(e: Expr, samples) -> bool:
     return all(eval_pred(e, s) for s in samples)
 
 
+def _lex_rank(combo, n: int) -> int:
+    """Position of the sorted index tuple `combo` in
+    itertools.combinations(range(n), len(combo))."""
+    k = len(combo)
+    return comb(n, k) - 1 - sum(comb(n - 1 - c, k - t) for t, c in enumerate(combo))
+
+
 def combine(store: ExprStore, budget: GeneratorBudget, ces: CeSet,
             head_samples=(), generation: int = 0, origin: str = "combinor"):
     """Size-lexicographic candidate stream: single clauses, conjunctions up
     to max_combination_size, then 2-way disjunctions of small conjunctions.
     Candidates failing the ceSet or a recorded loop-head state are skipped
     before they cost a solver call.
+
+    Every decision is taken on truth bitmasks over the head samples and
+    the ceSet, and a formula is built only for a yielded candidate.
+    `examined` and `scanned` still count every combination of the full
+    stream, so the MAX_ENUMERATED and MAX_SCANNED caps cut it at the same
+    place as a formula-by-formula walk.
     """
     clauses = list(store)
+    n = len(clauses)
+    full = (1 << len(head_samples)) - 1
+    # bit i of masks[j]: clause j holds in head sample i
+    masks = [sum(1 << i for i, s in enumerate(head_samples) if eval_pred(c.expr, s))
+             for c in clauses]
+
+    def emit(groups):
+        formula = _conj([c.expr for c in groups[0]])
+        if len(groups) == 2:
+            formula = Binary("or", formula, _conj([c.expr for c in groups[1]]))
+        used = tuple(c for g in groups for c in g)
+        return Candidate(pred(formula), used, generation, origin, groups)
+
+    # a conjunction holds on every sample iff each of its clauses does, so
+    # the survivors are the combinations of always-true clauses, and each
+    # one's stream position is its lexicographic rank among all clauses
+    always = [i for i in range(n) if masks[i] == full]
     examined = 0
-    scanned = 0
-
-    def emit(used):
-        exprs = [c.expr for c in used]
-        formula = exprs[0]
-        for e in exprs[1:]:
-            formula = Binary("and", formula, e)
-        return Candidate(pred(formula), tuple(used), generation, origin)
-
-    def admissible(cand):
-        return (filter_by_ces(cand, ces)
-                and _passes_head_samples(cand.formula.expr, head_samples))
-
     for size in range(1, budget.max_combination_size + 1):
-        for combo in itertools.combinations(clauses, size):
-            examined += 1
-            if examined > MAX_ENUMERATED:
+        for combo in itertools.combinations(always, size):
+            if examined + _lex_rank(combo, n) >= MAX_ENUMERATED:
                 return
-            cand = emit(list(combo))
-            if admissible(cand):
-                yield cand
+            groups = (tuple(clauses[i] for i in combo),)
+            if ces.admits(groups):
+                yield emit(groups)
+        examined += comb(n, size)
+        if examined > MAX_ENUMERATED:
+            return
 
     # disjunctions: (conjunction) or (conjunction), sides of size <= 2.
     # With head samples available, a useful disjunct must be true on some
     # observed states but not all (uniformly-true clauses belong in
     # conjunctions; uniformly-false ones cover nothing reachable), and the
-    # two sides together must cover every observed state. Both facts are
-    # cheap bitmask tests that gate the expensive filters.
+    # two sides together must cover every observed state, which also makes
+    # the disjunction hold on every sample. Sides are tuples of positions
+    # in `pool`; for each left side only the right sides that cover what
+    # it misses are visited, and the scan count skips over the others.
     side_size = min(2, budget.max_combination_size)
-    full_mask = (1 << len(head_samples)) - 1 if head_samples else 0
     if head_samples:
-        cmask = [sum(1 << i for i, s in enumerate(head_samples)
-                     if eval_pred(c.expr, s)) for c in clauses]
-        pool = [i for i in range(len(clauses)) if 0 < cmask[i] < full_mask]
+        pool = [i for i in range(n) if 0 < masks[i] < full]
     else:
-        cmask = None
-        pool = list(range(len(clauses)))
-
-    def side_mask(side):
-        m = full_mask
-        for i in side:
-            m &= cmask[i]
-        return m
-
-    sides_by_size = [[(i,) for i in pool]]
+        pool = list(range(n))
+    p = len(pool)
+    pmask = [masks[i] for i in pool]
+    sides_by_size = [[(q,) for q in range(p)]]
     if side_size >= 2:
-        sides_by_size.append(list(itertools.combinations(pool, 2)))
+        sides_by_size.append(list(itertools.combinations(range(p), 2)))
+    side_masks = [[functools.reduce(operator.and_, (pmask[q] for q in side), full)
+                   for side in sides] for sides in sides_by_size]
+    covers: dict = {}   # missed samples -> pool positions true on all of them
+
+    def covering_rights(b, need, lo):
+        """Indices >= lo into sides_by_size[b] of the sides true on every
+        sample in `need`, in increasing order."""
+        if need not in covers:
+            covers[need] = [q for q in range(p) if pmask[q] & need == need]
+        cover = covers[need]
+        if b == 0:
+            yield from cover[bisect.bisect_left(cover, lo):]
+            return
+        # rank of (q1, q2) in combinations(range(p), 2); any right side
+        # with index >= lo starts at or after the first element of side lo
+        first = sides_by_size[1][lo][0] if lo < len(sides_by_size[1]) else p
+        for x in range(bisect.bisect_left(cover, first), len(cover)):
+            q1 = cover[x]
+            base = q1 * (2 * p - q1 - 1) // 2 - q1 - 1
+            for q2 in cover[x + 1:]:
+                if base + q2 >= lo:
+                    yield base + q2
 
     shapes = [(0, 0)]
     if side_size >= 2:
         shapes += [(0, 1), (1, 1)]
+    scanned = 0
     for a, b in shapes:
-        if a == b:
-            pairs = itertools.combinations(sides_by_size[a], 2)
-        else:
-            pairs = itertools.product(sides_by_size[a], sides_by_size[b])
-        for left, right in pairs:
-            scanned += 1
+        rights = sides_by_size[b]
+        for li, left in enumerate(sides_by_size[a]):
+            lo = li + 1 if a == b else 0
+            start = scanned - lo   # scan count just before right side 0
+            scanned += len(rights) - lo
+            for r in covering_rights(b, full & ~side_masks[a][li], lo):
+                if start + r >= MAX_SCANNED:
+                    return
+                right = rights[r]
+                if set(left) & set(right):
+                    continue
+                examined += 1
+                if examined > MAX_ENUMERATED:
+                    return
+                groups = (tuple(clauses[pool[q]] for q in left),
+                          tuple(clauses[pool[q]] for q in right))
+                if ces.admits(groups):
+                    yield emit(groups)
             if scanned > MAX_SCANNED:
                 return
-            if set(left) & set(right):
-                continue
-            if cmask is not None and side_mask(left) | side_mask(right) != full_mask:
-                continue
-            examined += 1
-            if examined > MAX_ENUMERATED:
-                return
-            lexpr = _conj([clauses[i].expr for i in left])
-            rexpr = _conj([clauses[i].expr for i in right])
-            used = [clauses[i] for i in left + right]
-            cand = Candidate(pred(Binary("or", lexpr, rexpr)), tuple(used),
-                             generation, origin)
-            if admissible(cand):
-                yield cand
 
 
 def _conj(exprs):
@@ -379,7 +466,7 @@ def _complete(prompt: str, cfg: LlmConfig) -> str:
             raise LlmTransportError(f"no transcript for prompt hash {key} in {path}")
         return transcripts[key]
 
-    import requests
+    import urllib.request  # http.client and ssl cost ~3 MB; only this path needs them
 
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(cfg.api_key_env)
@@ -391,11 +478,14 @@ def _complete(prompt: str, cfg: LlmConfig) -> str:
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_tokens,
     }
+    req = urllib.request.Request(cfg.endpoint, data=json.dumps(payload).encode(),
+                                 headers=headers, method="POST")
     try:
-        resp = requests.post(cfg.endpoint, json=payload, headers=headers, timeout=60)
-        resp.raise_for_status()
-        return resp.json()["choices"][0]["message"]["content"]
-    except (requests.RequestException, KeyError, ValueError) as exc:
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            return json.load(resp)["choices"][0]["message"]["content"]
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        # OSError covers URLError and HTTPError; ValueError bad JSON;
+        # LookupError/TypeError a reply without choices[0].message.content
         raise LlmTransportError(str(exc))
 
 
@@ -569,7 +659,9 @@ def infer_invariant(hp: HoareProblem, gen_mode: str = "combinor",
                          generation=rounds - 1, origin=origin)
         exhausted_stream = True
         for cand in stream:
-            fkey = expr_to_str(cand.formula.expr)
+            # the clause grouping determines the formula's text, and the
+            # store's canonical keys identify its clauses across rounds
+            fkey = tuple(tuple(c.key for c in g) for g in cand.groups)
             if fkey in seen_formulas:
                 continue
             seen_formulas.add(fkey)
@@ -588,7 +680,7 @@ def infer_invariant(hp: HoareProblem, gen_mode: str = "combinor",
             if v.counterexample is not None:
                 ces.add(v.counterexample)
             if len(failures) < 8:
-                failures.append((fkey, v.status))
+                failures.append((str(cand.formula), v.status))
             if v.status in _GUIDANCE:
                 guidance = _GUIDANCE[v.status]
         if gen_mode == "combinor":

@@ -8,7 +8,8 @@ introduced by the forward transformer for overwritten values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CompoundStatementError, TypeCheckError
 from .frontend.ast_nodes import (
@@ -35,10 +36,11 @@ CMP_FLIP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 @dataclass(frozen=True)
 class Predicate:
     expr: Expr
-    free_vars: frozenset[str] = field(default=frozenset())
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_vars", expr_vars(self.expr))
+    @cached_property
+    def free_vars(self) -> frozenset[str]:
+        # lazy: most candidate predicates are never encoded for the solver
+        return expr_vars(self.expr)
 
     def __str__(self) -> str:
         return expr_to_str(self.expr)

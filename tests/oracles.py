@@ -239,3 +239,101 @@ def backbone_stmts(body):
     from pathinv.frontend.ast_nodes import If, While
 
     return tuple(s for s in body if not isinstance(s, (If, While)))
+
+
+# --- reference candidate stream ----------------------------------------------
+
+
+def reference_filter(formula, ces) -> bool:
+    """The ceSet filter evaluated on a formula's AST: drop a formula false
+    at an init state, held-then-broken around a preservation step, or true
+    at a bad exit state."""
+    for ce in ces:
+        if ce.kind == "init" and not eval_pred(formula, ce.state):
+            return False
+        if ce.kind == "preserve" and eval_pred(formula, ce.state) \
+                and not eval_pred(formula, ce.post_state):
+            return False
+        if ce.kind == "term" and eval_pred(formula, ce.state):
+            return False
+    return True
+
+
+def reference_combine(store, budget, ces, head_samples=()):
+    """The Combinor's candidate stream, built formula by formula.
+
+    Every combination becomes a `Candidate` that is then evaluated on the
+    AST: against each counterexample and each head sample. The library's
+    `combine` must yield the same sequence while deciding on per-clause
+    truth bitmasks. Caps are read from `pathinv.candidates` at call time,
+    so a test that monkeypatches them moves both streams.
+    """
+    from pathinv import candidates as lib
+    from pathinv.logic import pred
+
+    clauses = list(store)
+    examined = 0
+    scanned = 0
+
+    def admissible(formula):
+        return (reference_filter(formula, ces)
+                and all(eval_pred(formula, s) for s in head_samples))
+
+    def conj(exprs):
+        out = exprs[0]
+        for e in exprs[1:]:
+            out = Binary("and", out, e)
+        return out
+
+    for size in range(1, budget.max_combination_size + 1):
+        for combo in itertools.combinations(clauses, size):
+            examined += 1
+            if examined > lib.MAX_ENUMERATED:
+                return
+            formula = conj([c.expr for c in combo])
+            if admissible(formula):
+                yield lib.Candidate(pred(formula), combo)
+
+    side_size = min(2, budget.max_combination_size)
+    full_mask = (1 << len(head_samples)) - 1 if head_samples else 0
+    if head_samples:
+        cmask = [sum(1 << i for i, s in enumerate(head_samples)
+                     if eval_pred(c.expr, s)) for c in clauses]
+        pool = [i for i in range(len(clauses)) if 0 < cmask[i] < full_mask]
+    else:
+        cmask = None
+        pool = list(range(len(clauses)))
+
+    def side_mask(side):
+        m = full_mask
+        for i in side:
+            m &= cmask[i]
+        return m
+
+    sides_by_size = [[(i,) for i in pool]]
+    if side_size >= 2:
+        sides_by_size.append(list(itertools.combinations(pool, 2)))
+    shapes = [(0, 0)]
+    if side_size >= 2:
+        shapes += [(0, 1), (1, 1)]
+    for a, b in shapes:
+        if a == b:
+            pairs = itertools.combinations(sides_by_size[a], 2)
+        else:
+            pairs = itertools.product(sides_by_size[a], sides_by_size[b])
+        for left, right in pairs:
+            scanned += 1
+            if scanned > lib.MAX_SCANNED:
+                return
+            if set(left) & set(right):
+                continue
+            if cmask is not None and side_mask(left) | side_mask(right) != full_mask:
+                continue
+            examined += 1
+            if examined > lib.MAX_ENUMERATED:
+                return
+            formula = Binary("or", conj([clauses[i].expr for i in left]),
+                             conj([clauses[i].expr for i in right]))
+            if admissible(formula):
+                yield lib.Candidate(pred(formula),
+                                    tuple(clauses[i] for i in left + right))

@@ -1,7 +1,10 @@
 """Candidate generation: clause stores, the combinor, ce pruning, LLM parsing."""
 
+import http.server
 import itertools
 import json
+import random
+import threading
 
 import pytest
 
@@ -17,6 +20,7 @@ from pathinv.hoare import (
     build_problem,
     check_invariant,
 )
+from pathinv import candidates
 from pathinv.candidates import (
     Candidate,
     CeSet,
@@ -34,10 +38,12 @@ from pathinv.candidates import (
     sample_head_states,
     seed_clauses,
 )
+from pathinv.frontend.ast_nodes import Binary, While, walk_stmts
 from pathinv.interp import eval_pred
-from pathinv.logic import implies, pred
+from pathinv.logic import P_TRUE, implies, pred
 
-from conftest import CORPUS, load
+from conftest import CORPUS, corpus_files, llm_corpus_files, load
+from oracles import random_atom, reference_combine, reference_filter
 
 
 def P(text):
@@ -215,6 +221,136 @@ def test_combine_no_overlapping_sides():
             assert len(set(c.clauses_used)) == len(c.clauses_used)
 
 
+def corpus_loop_problems():
+    """(name, problem) for every loop of the corpus, with the loop's real
+    head samples; inner loops are summarized as `true`."""
+    out = []
+    for path in corpus_files() + llm_corpus_files():
+        p, _ = load(path)
+        lids = [s.loop_id for s in walk_stmts(p.body) if isinstance(s, While)]
+        for lid in lids:
+            hp = build_problem(p, lid, dict.fromkeys(lids, P_TRUE),
+                               head_samples=sample_head_states(p, lid))
+            out.append((f"{path.stem}:{lid}", hp))
+    return out
+
+
+def random_state(rng, names):
+    return {v: rng.randint(-4, 4) for v in names}
+
+
+def random_ces(rng, names, n=3):
+    """n counterexamples of each kind at random states."""
+    ces = CeSet()
+    for _ in range(n):
+        ces.add(Counterexample("init", random_state(rng, names)))
+        ces.add(Counterexample("preserve", random_state(rng, names),
+                               random_state(rng, names)))
+        ces.add(Counterexample("term", random_state(rng, names)))
+    return ces
+
+
+def stream(gen):
+    return [(str(c.formula), c.clauses_used) for c in gen]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_combine_matches_reference_stream(monkeypatch, size):
+    """The mask-screened stream is the formula-by-formula stream, item for
+    item. The small caps cut most streams inside the conjunctions; at size
+    2 they cut count_up's inside the disjunctions by the scan cap and
+    frame_simple's (no head samples) by the enumeration cap, and at size 1
+    the streams run to their end."""
+    monkeypatch.setattr(candidates, "MAX_ENUMERATED", 3_000)
+    monkeypatch.setattr(candidates, "MAX_SCANNED", 30_000)
+    budget = GeneratorBudget(max_combination_size=size)
+    rng = random.Random(size)
+    for name, hp in corpus_loop_problems():
+        store = seed_clauses(hp)
+        for ces in (CeSet(), random_ces(rng, hp.var_names)):
+            got = stream(combine(store, budget, ces, hp.head_samples))
+            want = stream(reference_combine(store, budget, ces, hp.head_samples))
+            assert got == want, (name, len(ces))
+
+
+def test_combine_matches_reference_stream_uncapped():
+    """With the shipped caps, count_up's stream runs to its natural end
+    through every conjunction and disjunction shape."""
+    p, _ = load(CORPUS / "count_up.mc")
+    hp = build_problem(p, 0, {}, head_samples=sample_head_states(p, 0))
+    store = seed_clauses(hp)
+    for ces in (CeSet(), random_ces(random.Random(7), hp.var_names, n=1)):
+        got = stream(combine(store, GeneratorBudget(), ces, hp.head_samples))
+        want = stream(reference_combine(store, GeneratorBudget(), ces,
+                                        hp.head_samples))
+        assert got == want and any("||" in text for text, _ in got)
+
+
+def dnf(groups):
+    sides = []
+    for g in groups:
+        e = g[0].expr
+        for c in g[1:]:
+            e = Binary("and", e, c.expr)
+        sides.append(e)
+    out = sides[0]
+    for e in sides[1:]:
+        out = Binary("or", out, e)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filter_masks_agree_with_eval_pred(seed):
+    rng = random.Random(seed)
+    names = ("x", "y", "z")
+    store = ExprStore()
+    while len(store) < 12:
+        store.add(random_atom(rng, names), "template")
+    clauses = list(store)
+    groupings = [tuple(tuple(rng.sample(clauses, rng.randint(1, 3)))
+                       for _ in range(rng.randint(1, 2)))
+                 for _ in range(150)]
+    late = []   # verdicts given after the clause masks were extended
+    for _ in range(4):
+        ces = CeSet()
+        for kind in rng.sample(["init", "preserve", "term"], 3):
+            # one counterexample at a time, arriving after the clause masks
+            # of the earlier ones were computed: the masks must be extended
+            ces.add(Counterexample(kind, random_state(rng, names),
+                                   random_state(rng, names) if kind == "preserve" else None))
+            for groups in groupings:
+                formula = dnf(groups)
+                want = reference_filter(formula, ces)
+                used = tuple(c for g in groups for c in g)
+                assert filter_by_ces(Candidate(pred(formula), used, groups=groups),
+                                     ces) == want, (len(ces), str(formula))
+                # fallback path: no grouping, evaluated on the formula
+                assert filter_by_ces(Candidate(pred(formula), used), ces) == want
+                if len(ces) > 1:
+                    late.append(want)
+    assert True in late and False in late
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_combine_caps_cut_at_the_same_combination(monkeypatch, size):
+    """Every value of each cap, on a store small enough to sweep: the cut
+    falls on the same combination as in the formula-by-formula stream."""
+    s = store_of("x <= 3", "x <= 5", "x >= 7", "x >= 3", "x != 8", "x <= 9",
+                 "x >= 0", "x == 12")
+    samples = ({"x": 0}, {"x": 4}, {"x": 8}, {"x": 12})
+    budget = GeneratorBudget(max_combination_size=size)
+    uncut = list(reference_combine(s, budget, CeSet(), samples))
+    assert sum("||" in str(c.formula) for c in uncut) >= 9
+    # 7 partial clauses: 21 + 7 * 21 + 210 pairs of sides to scan
+    for enumerated, scanned in [(e, 5_000_000) for e in range(150)] + \
+            [(200_000, k) for k in range(380)]:
+        monkeypatch.setattr(candidates, "MAX_ENUMERATED", enumerated)
+        monkeypatch.setattr(candidates, "MAX_SCANNED", scanned)
+        got = stream(combine(s, budget, CeSet(), samples))
+        assert got == stream(reference_combine(s, budget, CeSet(), samples)), \
+            (enumerated, scanned)
+
+
 # --- LLM plumbing --------------------------------------------------------------------
 
 
@@ -276,6 +412,66 @@ def test_llm_generate_unusable_response_raises(tmp_path):
     path.write_text(json.dumps({prompt_key(prompt): "no clauses here"}))
     with pytest.raises(LlmFormatError):
         llm_generate(ctx, CeSet(), LlmConfig(endpoint=f"mock:{path}"), ("x", "n"))
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    """A chat-completions endpoint: /ok answers, /fail is an HTTP 500,
+    /garbled is not JSON. Each request body is kept for the test."""
+    requests = []
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).requests.append((self.path, dict(self.headers), json.loads(body)))
+        if self.path == "/fail":
+            self.send_error(500)
+            return
+        reply = (b"not json {" if self.path == "/garbled" else json.dumps(
+            {"choices": [{"message": {"content": "```\nx <= n\n```"}}]}).encode())
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def chat_server(monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    _ChatHandler.requests = []
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def test_llm_generate_over_http(chat_server, monkeypatch):
+    monkeypatch.setenv("PATHINV_LLM_KEY", "k-123")
+    ctx = PromptContext(program="p", pre="true", guard="x < n", post="x == n")
+    cfg = LlmConfig(endpoint=f"{chat_server}/ok", model="m1", max_tokens=64)
+    clauses = llm_generate(ctx, CeSet(), cfg, ("x", "n"))
+    assert [expr_to_str(e) for e in clauses] == ["x <= n"]
+    [(path, headers, body)] = _ChatHandler.requests
+    assert headers["Authorization"] == "Bearer k-123"
+    assert body["model"] == "m1" and body["max_tokens"] == 64
+    assert body["messages"] == [{"role": "user",
+                                 "content": render_prompt(ctx, CeSet())}]
+
+
+@pytest.mark.parametrize("path", ["/fail", "/garbled"])
+def test_llm_generate_http_errors_are_transport_errors(chat_server, path):
+    ctx = PromptContext(program="p", pre="true", guard="x < n", post="x == n")
+    with pytest.raises(LlmTransportError):
+        llm_generate(ctx, CeSet(), LlmConfig(endpoint=chat_server + path), ("x", "n"))
+    assert len(_ChatHandler.requests) == 1
 
 
 # --- inference loop -------------------------------------------------------------------
