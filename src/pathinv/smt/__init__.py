@@ -4,7 +4,9 @@ Solver discovery order: explicit path, the PATHINV_SOLVER environment
 variable, z3 or cvc5 on PATH, and finally the bundled fallback so the
 toolkit works without a system solver. External solvers run as one
 subprocess per query; the bundled backend is called in-process (same
-input and output text, without the process-spawn overhead).
+input and output text, without the process-spawn overhead). Either way
+`SolverConfig.timeout_ms` bounds the query: the subprocess is killed, and
+the bundled backend stops at a deadline and answers `timeout`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 
 from ..errors import ModelParseError, SolverFailure
@@ -82,8 +85,9 @@ def check(cfg: SolverConfig, script: SmtScript) -> SolverResult:
     if cfg.name == "bundled":
         from .minismt import SmtInputError, run_script
 
+        deadline = time.monotonic() + cfg.timeout_ms / 1000.0
         try:
-            stdout = run_script(script.text())
+            stdout = run_script(script.text(), deadline)
         except SmtInputError as exc:
             # same text the module's CLI entry point would print
             stdout = f'(error "{exc}")\nunknown\n'
@@ -109,7 +113,7 @@ def _interpret_output(stdout: str, stderr: str, returncode: int,
     rest_lines = []
     for line in stdout.splitlines():
         stripped = line.strip()
-        if status is None and stripped in (SAT, UNSAT, UNKNOWN):
+        if status is None and stripped in (SAT, UNSAT, UNKNOWN, TIMEOUT):
             status = stripped
         elif status is not None:
             rest_lines.append(line)

@@ -6,6 +6,8 @@ hermetically when no system z3/cvc5 is installed; the subprocess protocol
 is identical.
 
 Decision procedure: NNF, lazy DNF enumeration, Omega test per conjunct.
+In-process callers may pass a deadline (a `time.monotonic()` value); once
+it passes, check-sat answers `timeout`. The command line sets none.
 """
 
 from __future__ import annotations
@@ -225,8 +227,13 @@ def dnf(node):
 # --- driver ------------------------------------------------------------------
 
 
-def check(assertions, declared: set[str]):
-    """Returns ('sat', model) | ('unsat', None) | ('unknown', None)."""
+def check(assertions, declared: set[str], deadline: float | None = None):
+    """Returns ('sat', model) | ('unsat', None) | ('unknown', None)
+    | ('timeout', None).
+
+    The deadline is checked as each disjunct's Omega test starts and at
+    every step of its recursion.
+    """
     node = ("and", [a for a in assertions]) if assertions else True
     count = 0
     try:
@@ -234,16 +241,18 @@ def check(assertions, declared: set[str]):
             count += 1
             if count > MAX_DISJUNCTS:
                 return "unknown", None
-            model = solve_lia(eqs, ineqs)
+            model = solve_lia(eqs, ineqs, deadline)
             if model is not None:
                 full = {v: model.get(v, 0) for v in declared}
                 return "sat", full
         return "unsat", None
     except OmegaUnknown:
         return "unknown", None
+    except TimeoutError:
+        return "timeout", None
 
 
-def run_script(text: str) -> str:
+def run_script(text: str, deadline: float | None = None) -> str:
     out = []
     declared: set[str] = set()
     assertions = []
@@ -265,7 +274,7 @@ def run_script(text: str) -> str:
         elif head == "assert":
             assertions.append(bool_term(cmd[1], declared))
         elif head == "check-sat":
-            status, model = check(assertions, declared)
+            status, model = check(assertions, declared, deadline)
             last = (status, model)
             out.append(status)
         elif head == "get-model":

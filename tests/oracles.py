@@ -9,7 +9,9 @@ assertion.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 from pathinv.frontend.ast_nodes import (
     Assert,
@@ -23,6 +25,7 @@ from pathinv.frontend.ast_nodes import (
     Var,
 )
 from pathinv.interp import eval_expr, eval_pred
+from pathinv.smt.omega import LinForm, OmegaUnknown
 
 
 # --- witnessed evaluation of strongest postconditions ------------------------
@@ -337,3 +340,191 @@ def reference_combine(store, budget, ces, head_samples=()):
             if admissible(formula):
                 yield lib.Candidate(pred(formula),
                                     tuple(clauses[i] for i in left + right))
+
+
+# --- reference Omega test ----------------------------------------------------
+# `pathinv.smt.omega` before it skipped the real shadow of exact
+# eliminations and the re-normalisation of constraints already in lowest
+# terms: the same code with its names prefixed. `solve_lia` must return the
+# same model, and raise OmegaUnknown on the same systems.
+
+
+def _ref_gcd_of(coeffs: dict[str, int]) -> int:
+    return math.gcd(*[abs(k) for k in coeffs.values()]) if coeffs else 0
+
+
+def _ref_subst(form: LinForm, var: str, repl: LinForm) -> LinForm:
+    coeffs, const = form
+    if var not in coeffs:
+        return form
+    a = coeffs[var]
+    rc, rk = repl
+    out = {v: k for v, k in coeffs.items() if v != var}
+    for v, k in rc.items():
+        out[v] = out.get(v, 0) + a * k
+    return {v: k for v, k in out.items() if k != 0}, const + a * rk
+
+
+def _ref_eval(form: LinForm, model: dict[str, int]) -> int:
+    coeffs, const = form
+    return sum(k * model.setdefault(v, 0) for v, k in coeffs.items()) + const
+
+
+def _ref_smod(a: int, m: int) -> int:
+    r = a % m
+    return r - m if r > m // 2 else r
+
+
+class ReferenceOmegaSolver:
+    def __init__(self, max_depth: int = 400):
+        self.max_depth = max_depth
+        self.fresh = 0
+
+    def solve(self, eqs: list[LinForm], ineqs: list[LinForm], depth: int = 0):
+        if depth > self.max_depth:
+            raise OmegaUnknown
+        eqs2, ineqs2 = [], []
+        for coeffs, const in eqs:
+            if not coeffs:
+                if const != 0:
+                    return None
+                continue
+            g = _ref_gcd_of(coeffs)
+            if const % g != 0:
+                return None
+            eqs2.append(({v: k // g for v, k in coeffs.items()}, const // g))
+        for coeffs, const in ineqs:
+            if not coeffs:
+                if const > 0:
+                    return None
+                continue
+            g = _ref_gcd_of(coeffs)
+            ineqs2.append(({v: k // g for v, k in coeffs.items()}, -((-const) // g)))
+        if eqs2:
+            return self._eliminate_equality(eqs2, ineqs2, depth)
+        if ineqs2:
+            return self._eliminate_inequality(eqs2, ineqs2, depth)
+        return {}
+
+    # --- equalities ---
+
+    def _eliminate_equality(self, eqs, ineqs, depth):
+        coeffs, const = eqs[0]
+        unit = next((v for v, k in coeffs.items() if abs(k) == 1), None)
+        if unit is not None:
+            a = coeffs[unit]  # a * unit + rest + const == 0 -> unit = -(rest+const)/a
+            repl = ({v: -k * a for v, k in coeffs.items() if v != unit}, -const * a)
+            rest_eqs = [_ref_subst(f, unit, repl) for f in eqs[1:]]
+            rest_ineqs = [_ref_subst(f, unit, repl) for f in ineqs]
+            model = self.solve(rest_eqs, rest_ineqs, depth + 1)
+            if model is None:
+                return None
+            model[unit] = _ref_eval(repl, model)
+            return model
+        # no unit coefficient: Pugh's mod-based elimination
+        k = min(coeffs, key=lambda v: abs(coeffs[v]))
+        if coeffs[k] < 0:
+            coeffs = {v: -c for v, c in coeffs.items()}
+            const = -const
+        m = coeffs[k] + 1
+        sigma = f"_omega{self.fresh}"
+        self.fresh += 1
+        repl_coeffs = {v: _ref_smod(c, m) for v, c in coeffs.items() if v != k}
+        repl_coeffs = {v: c for v, c in repl_coeffs.items() if c != 0}
+        repl_coeffs[sigma] = m
+        repl = (repl_coeffs, _ref_smod(const, m))
+        new_eqs = [_ref_subst(f, k, repl) for f in eqs]
+        new_ineqs = [_ref_subst(f, k, repl) for f in ineqs]
+        model = self.solve(new_eqs, new_ineqs, depth + 1)
+        if model is None:
+            return None
+        model[k] = _ref_eval(repl, model)
+        model.pop(sigma, None)
+        return model
+
+    # --- inequalities ---
+
+    def _eliminate_inequality(self, eqs, ineqs, depth):
+        variables = sorted({v for coeffs, _ in ineqs for v in coeffs})
+
+        def cost(v):
+            lo = sum(1 for c, _ in ineqs if c.get(v, 0) < 0)
+            hi = sum(1 for c, _ in ineqs if c.get(v, 0) > 0)
+            return (lo * hi if lo and hi else 0, variables.index(v))
+
+        x = min(variables, key=cost)
+        lowers, uppers, rest = [], [], []
+        for coeffs, const in ineqs:
+            a = coeffs.get(x, 0)
+            r = ({v: k for v, k in coeffs.items() if v != x}, const)
+            if a < 0:
+                lowers.append((-a, r))   # (-a) * x >= r
+            elif a > 0:
+                uppers.append((a, r))    # a * x <= -r
+            else:
+                rest.append((coeffs, const))
+
+        if not lowers or not uppers:
+            model = self.solve([], rest, depth + 1)
+            if model is None:
+                return None
+            return self._assign_bounded(model, x, lowers, uppers)
+
+        def shadow(slack: bool):
+            out = list(rest)
+            for b, (lc, lk) in lowers:
+                for a, (uc, uk) in uppers:
+                    coeffs = {v: a * k for v, k in lc.items()}
+                    for v, k in uc.items():
+                        coeffs[v] = coeffs.get(v, 0) + b * k
+                    const = a * lk + b * uk
+                    if slack:
+                        const += (a - 1) * (b - 1)
+                    out.append(({v: k for v, k in coeffs.items() if k != 0}, const))
+            return out
+
+        model = self.solve([], shadow(slack=True), depth + 1)  # dark shadow
+        if model is not None:
+            return self._assign_bounded(model, x, lowers, uppers)
+        if self.solve([], shadow(slack=False), depth + 1) is None:  # real shadow
+            return None
+        # grey region: splinter on the lower bounds
+        a_max = max(a for a, _ in uppers)
+        for b, (lc, lk) in lowers:
+            limit = (a_max * b - a_max - b) // a_max
+            for i in range(limit + 1):
+                # pin b*x == (lc . y + lk) + i
+                coeffs = {x: b}
+                for v, k in lc.items():
+                    coeffs[v] = coeffs.get(v, 0) - k
+                eq = ({v: k for v, k in coeffs.items() if k != 0}, -lk - i)
+                model = self.solve([eq], ineqs, depth + 1)
+                if model is not None:
+                    return model
+        return None
+
+    def _assign_bounded(self, model, x, lowers, uppers):
+        lo = hi = None
+        for b, r in lowers:
+            val = math.ceil(Fraction(_ref_eval(r, model), b))
+            lo = val if lo is None else max(lo, val)
+        for a, r in uppers:
+            val = math.floor(Fraction(-_ref_eval(r, model), a))
+            hi = val if hi is None else min(hi, val)
+        if lo is not None:
+            model[x] = lo
+        elif hi is not None:
+            model[x] = hi
+        else:
+            model[x] = 0
+        return model
+
+
+def reference_solve_lia(eqs: list[LinForm], ineqs: list[LinForm]) -> dict[str, int] | None:
+    """Decide a conjunction of integer linear constraints.
+
+    Returns a satisfying assignment (variables absent from any constraint
+    are omitted) or None when unsatisfiable. Raises OmegaUnknown if the
+    recursion budget is exceeded.
+    """
+    return ReferenceOmegaSolver().solve(list(eqs), list(ineqs))

@@ -2,9 +2,12 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
+from oracles import ReferenceOmegaSolver, reference_solve_lia
+from pathinv.smt import omega
 from pathinv.smt.minismt import (
     SmtInputError,
     bool_term,
@@ -15,7 +18,7 @@ from pathinv.smt.minismt import (
     run_script,
     tokenize_sexpr,
 )
-from pathinv.smt.omega import solve_lia
+from pathinv.smt.omega import OmegaUnknown, solve_lia
 
 
 # --- s-expressions -----------------------------------------------------------
@@ -130,6 +133,101 @@ def test_unbounded_directions():
     # x - y <= 0 alone: sat with arbitrarily large gap
     m = solve_lia([], [({"x": 1, "y": -1}, 0)])
     assert m is not None and m.get("x", 0) <= m.get("y", 0)
+
+
+# --- omega core vs the reference implementation ---------------------------------
+
+
+def _outcome(solve, eqs, ineqs):
+    try:
+        model = solve(eqs, ineqs)
+    except OmegaUnknown:
+        return "unknown", None
+    return ("unsat", None) if model is None else ("sat", model)
+
+
+def _random_system(rng):
+    names = [f"v{i}" for i in range(rng.randint(2, 6))]
+
+    def form():
+        coeffs = {v: rng.randint(-4, 4) for v in names if rng.random() < 0.6}
+        return {v: k for v, k in coeffs.items() if k}, rng.randint(-8, 8)
+
+    eqs = [form() for _ in range(rng.choice((0, 0, 1, 2)))]
+    ineqs = [form() for _ in range(rng.randint(1, 7))]
+    return eqs, ineqs
+
+
+@pytest.fixture
+def shadow_slacks(monkeypatch):
+    """The `slack` flag of every shadow the Omega test builds."""
+    slacks = []
+    shadow = omega._shadow
+
+    def record(rest, lowers, uppers, slack):
+        slacks.append(slack)
+        return shadow(rest, lowers, uppers, slack)
+
+    monkeypatch.setattr(omega, "_shadow", record)
+    return slacks
+
+
+def _cap_depth(monkeypatch, cls, depth):
+    init = cls.__init__
+    monkeypatch.setattr(cls, "__init__",
+                        lambda self, max_depth=400, **kw: init(self, depth, **kw))
+
+
+@pytest.mark.parametrize("max_depth", [400, 5])
+def test_solve_lia_matches_reference(monkeypatch, shadow_slacks, max_depth):
+    """Same status, same model and the same OmegaUnknown cases as the
+    solver that solved every real shadow and re-normalised every
+    constraint. Depth 5 makes the recursion budget run out on part of
+    the systems."""
+    _cap_depth(monkeypatch, omega._Solver, max_depth)
+    _cap_depth(monkeypatch, ReferenceOmegaSolver, max_depth)
+    splinters = []
+    solve = omega._Solver.solve
+
+    def record_solve(self, eqs, ineqs, depth=0):
+        if eqs and sys._getframe(1).f_code.co_name == "_eliminate_inequality":
+            splinters.append(depth)
+        return solve(self, eqs, ineqs, depth)
+
+    monkeypatch.setattr(omega._Solver, "solve", record_solve)
+    rng = random.Random(4)
+    seen = {"sat": 0, "unsat": 0, "unknown": 0}
+    for trial in range(2500):
+        eqs, ineqs = _random_system(rng)
+        want = _outcome(reference_solve_lia, eqs, ineqs)
+        assert _outcome(solve_lia, eqs, ineqs) == want, (trial, eqs, ineqs)
+        seen[want[0]] += 1
+    # dark shadows, grey regions (real shadows) and splinters all ran
+    assert True in shadow_slacks and False in shadow_slacks and splinters
+    assert seen["sat"] and seen["unsat"]
+    assert bool(seen["unknown"]) == (max_depth < 400)
+
+
+def test_exact_elimination_skips_the_real_shadow(monkeypatch, shadow_slacks):
+    """x <= y, y <= z, z < x over the integers: every bound has coefficient
+    1, so each elimination is exact and no real shadow is built."""
+    ineqs = [({"x": 1, "y": -1}, 0), ({"y": 1, "z": -1}, 0), ({"z": 1, "x": -1}, 1)]
+    calls = {"new": 0, "reference": 0}
+
+    def counting(cls, key):
+        solve = cls.solve
+
+        def wrapper(self, *args, **kwargs):
+            calls[key] += 1
+            return solve(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "solve", wrapper)
+
+    counting(omega._Solver, "new")
+    counting(ReferenceOmegaSolver, "reference")
+    assert solve_lia([], ineqs) is None
+    assert reference_solve_lia([], ineqs) is None
+    assert shadow_slacks and all(shadow_slacks)
+    assert calls["new"] < calls["reference"]
 
 
 # --- script driver -------------------------------------------------------------

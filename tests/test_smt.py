@@ -15,6 +15,7 @@ from pathinv.smt import (
     UNSAT,
     Solver,
     SolverConfig,
+    SolverResult,
     bundled_solver,
     check,
     discover_solver,
@@ -86,6 +87,16 @@ def test_invalid_implication_yields_refuting_model():
     q = implies(P("x >= 0"), P("x >= 1"))
     res = check(bundled_solver(), q.script)
     assert res.is_sat and res.model["x"] == 0
+
+
+def test_bundled_solver_enforces_timeout():
+    # 2^10 disjuncts, each refuted by the Omega test: tens of ms in all
+    xs = [f"x{i}" for i in range(10)]
+    formula = " && ".join([f"(x{i} == 0 || x{i} == 1)" for i in range(10)]
+                          + [f"{' + '.join(xs)} == 11"])
+    script = to_smt([P(formula)])
+    assert check(bundled_solver(timeout_ms=1), script) == SolverResult(TIMEOUT)
+    assert check(bundled_solver(), script) == SolverResult(UNSAT)
 
 
 # --- failure modes --------------------------------------------------------------
